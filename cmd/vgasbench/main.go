@@ -11,7 +11,7 @@
 //	vgasbench -kill 1:50000 -join 1:60000000 C2  # schedule a whole-node crash + rejoin
 //	NMVGAS_FAULTS="kill=1:50000,restart=1:60000000" vgasbench C2  # same, via env (CI hook)
 //	vgasbench -replicas 3 -coherence write-update F16   # replication sweep override
-//	vgasbench -localities 1024 -shards 1,8 F17   # scaling sweep override
+//	vgasbench -localities 1024,4096 F17          # scaling sweep override
 //	vgasbench -topology dragonfly:group=32 F17   # fabric override for the sweep
 //	vgasbench -tenants 16 -shift 2 F19           # rebalancing sweep overrides
 //	vgasbench -rebalance 8 F19                   # cap the policy's per-epoch move budget
@@ -62,8 +62,6 @@ func main() {
 		"via Join once the death is confirmed): comma-separated rank:vtime pairs (e.g. -join 1:60000000)")
 	localities := flag.String("localities", "", "comma-separated world sizes for the scaling "+
 		"experiment's sweep (e.g. -localities 256,1024; empty = default sweep)")
-	shards := flag.String("shards", "", "comma-separated event-shard counts for the scaling "+
-		"experiment's sweep (0 = classic single-heap engine; empty = default sweep)")
 	topology := flag.String("topology", "", "fabric spec for the scaling experiment "+
 		"(crossbar, two-tier, fat-tree, dragonfly, with optional :key=value params; "+
 		"empty = balanced fat-tree)")
@@ -76,8 +74,8 @@ func main() {
 	flightOut := flag.String("flight-out", "", "write the F20 health experiment's flight-recorder "+
 		"trip bundle (indented JSON) to this file")
 	scaleJSON := flag.String("scale-json", "", "run the F17 scaling sweep and write the rows as "+
-		"JSON to this file ('-' = stdout), then exit; defaults to 64/256/1024 localities × "+
-		"shards {0,1,4} unless -localities/-shards override")
+		"JSON to this file ('-' = stdout), then exit; defaults to 64/256/1024 localities "+
+		"unless -localities overrides")
 	rebalanceJSON := flag.String("rebalance-json", "", "run the F19 rebalancing sweep and write "+
 		"the rows as JSON to this file ('-' = stdout), then exit; honors -tenants/-shift/"+
 		"-rebalance/-quick")
@@ -145,7 +143,6 @@ func main() {
 
 	o := exp.Options{Quick: *quick, Seed: *seed, Replicas: *replicas,
 		Localities:   parseIntList("localities", *localities),
-		ShardSweep:   parseIntList("shards", *shards),
 		Topology:     *topology,
 		TenantBlocks: *tenants, Shifts: *shift, MoveBudget: *rebalance,
 		FlightOut: *flightOut}
@@ -244,23 +241,19 @@ func parseIntList(name, spec string) []int {
 }
 
 // scaleRun emits the F17 scaling sweep as JSON (the CI scaling-smoke
-// job's BENCH_PR8.json artifact). Without -localities/-shards overrides
-// it measures 64/256/1024 localities at shards {0, 1, 4}.
+// job's BENCH_PR8.json artifact). Without a -localities override it
+// measures 64/256/1024 localities.
 func scaleRun(o exp.Options, path string) error {
 	if len(o.Localities) == 0 {
 		o.Localities = []int{64, 256, 1024}
-	}
-	if len(o.ShardSweep) == 0 {
-		o.ShardSweep = []int{0, 1, 4}
 	}
 	out := struct {
 		Description string           `json:"description"`
 		Rows        []exp.ScalePoint `json:"rows"`
 	}{
-		Description: "F17 parallel-DES scaling rows: hot-potato parcel storm on a balanced " +
-			"fat-tree, AGAS-NM space. golden_parcels is the determinism gate — it must be " +
-			"identical across shard counts at each world size. events_per_sec and " +
-			"ns_per_event are wall-clock and scale with the host's core count. " +
+		Description: "F17 DES scaling rows: hot-potato parcel storm on a balanced " +
+			"fat-tree, AGAS-NM space. golden_parcels is the correctness gate — it must " +
+			"equal localities × (ttl+1). events_per_sec and ns_per_event are wall-clock. " +
 			"Regenerate with `go run ./cmd/vgasbench -scale-json -`.",
 		Rows: exp.ScaleBench(o),
 	}

@@ -43,10 +43,6 @@ type Options struct {
 	// (vgasbench maps -localities here). Nil = the experiment's default
 	// sweep.
 	Localities []int
-	// ShardSweep replaces the scaling experiment's shard-count sweep
-	// (vgasbench maps -shards here). Nil = default sweep; an explicit 0
-	// selects the classic single-heap engine.
-	ShardSweep []int
 	// Topology is a netsim.ParseTopology spec the scaling experiment
 	// builds its fabric from at each world size (vgasbench maps
 	// -topology here). Empty = the experiment's default fat-tree.

@@ -42,10 +42,8 @@ func (t VTime) String() string {
 func (t VTime) Micros() float64 { return float64(t) / float64(Microsecond) }
 
 // event is one scheduled closure. tie breaks equal-time events into a
-// strict total order; rank names the locality whose state the closure
-// touches (-1 for driver/barrier work), which the sharded engine uses to
-// route the event to the right shard heap and to stamp events the
-// closure schedules in turn.
+// strict total order; rank names the locality the event is attributed to
+// (-1 for driver work), which PendingByRank reads to attribute backlog.
 type event struct {
 	at   VTime
 	tie  uint64
@@ -134,17 +132,9 @@ func (q *eventQueue) pop() event {
 	return root
 }
 
-// Engine is a discrete-event simulator. In the classic (default)
-// configuration all simulated work — NIC activity, host handlers,
-// runtime actions — runs as events on one goroutine, which makes every
-// run bit-for-bit deterministic.
-//
-// An Engine can also be one face of a sharded ParEngine (see par.go):
-// either the driver façade the harness holds (Run/RunUntil execute
-// conservative-lookahead windows across all shards) or a per-shard
-// engine owning one heap that a worker drains. The scheduling API is
-// identical in both configurations, so the NIC and runtime layers are
-// written once.
+// Engine is a discrete-event simulator: all simulated work — NIC
+// activity, host handlers, runtime actions — runs as events on one
+// goroutine, which makes every run bit-for-bit deterministic.
 type Engine struct {
 	q   eventQueue
 	now VTime
@@ -152,104 +142,39 @@ type Engine struct {
 	// processed counts executed events, exposed for sanity checks and the
 	// engine-overhead ablation.
 	processed uint64
-
-	// Sharded-mode wiring (nil/zero on a classic engine). shard is -1 on
-	// the driver façade; curRank is the rank of the executing event (-1
-	// between events and in driver context) and stamps the invariant
-	// ordering key of everything that event schedules.
-	par     *ParEngine
-	shard   int32
-	curRank int32
 }
 
-// NewEngine returns a classic single-threaded engine at simulated time
-// zero.
-func NewEngine() *Engine { return &Engine{shard: -1, curRank: -1} }
+// NewEngine returns an engine at simulated time zero.
+func NewEngine() *Engine { return &Engine{} }
 
-// Sharded reports whether this engine is a face of a sharded ParEngine.
-func (e *Engine) Sharded() bool { return e.par != nil }
-
-// Par returns the underlying ParEngine (nil on a classic engine).
-func (e *Engine) Par() *ParEngine { return e.par }
-
-// RankEngine returns the engine face that schedules rank's events: the
-// rank's shard engine under sharding, the engine itself otherwise.
-func (e *Engine) RankEngine(rank int) *Engine {
-	if e.par == nil {
-		return e
-	}
-	return e.par.shards[e.par.shardOf(rank)]
-}
-
-// Now returns the current simulated time: event time on a classic or
-// shard engine, the last barrier time on a sharded driver façade.
+// Now returns the current simulated time.
 func (e *Engine) Now() VTime { return e.now }
 
-// Processed returns the number of events executed so far (summed across
-// shards on a sharded driver façade).
-func (e *Engine) Processed() uint64 {
-	if e.par != nil && e.shard < 0 {
-		return e.par.processedAll()
-	}
-	return e.processed
-}
+// Processed returns the number of events executed so far.
+func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of scheduled-but-unexecuted events (summed
-// across shard heaps, inboxes, and barrier tasks on a driver façade).
-func (e *Engine) Pending() int {
-	if e.par != nil && e.shard < 0 {
-		return e.par.pendingAll()
-	}
-	return len(e.q)
-}
+// Pending returns the number of scheduled-but-unexecuted events.
+func (e *Engine) Pending() int { return len(e.q) }
 
 // PendingByRank counts scheduled-but-unexecuted events attributed to
-// each rank into counts (one slot per rank); driver and barrier work
-// (rank -1) is not attributed. It is an on-demand O(pending) scan over
-// the heaps, so the hot scheduling path pays nothing for the tap — the
-// watchdog that calls it runs at pulse cadence, not per event.
+// each rank into counts (one slot per rank); driver work (rank -1) is
+// not attributed. It is an on-demand O(pending) scan over the heap, so
+// the hot scheduling path pays nothing for the tap — the watchdog that
+// calls it runs at pulse cadence, not per event.
 func (e *Engine) PendingByRank(counts []int) {
 	for i := range counts {
 		counts[i] = 0
 	}
-	if e.par != nil && e.shard < 0 {
-		e.par.pendingByRank(counts)
-		return
-	}
-	countEvents(e.q, counts)
-}
-
-// countEvents attributes a batch of events to their ranks.
-func countEvents(evs []event, counts []int) {
-	for i := range evs {
-		if r := int(evs[i].rank); r >= 0 && r < len(counts) {
+	for i := range e.q {
+		if r := int(e.q[i].rank); r >= 0 && r < len(counts) {
 			counts[r]++
 		}
 	}
 }
 
 // At schedules fn to run at absolute simulated time t. Scheduling in the
-// past is a protocol bug and panics. On a sharded engine the event is
-// attributed to the currently executing rank; use AtRank to schedule
-// onto a specific rank (required from driver context, where no rank is
-// executing).
-func (e *Engine) At(t VTime, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("netsim: scheduling at %v before now %v", t, e.now))
-	}
-	if e.par == nil {
-		e.seq++
-		e.q.push(event{at: t, tie: e.seq, rank: -1, fn: fn})
-		return
-	}
-	if e.shard < 0 {
-		// Driver façade: the task runs serially at the first barrier whose
-		// time reaches t, between windows, where it may touch any rank.
-		e.par.barrierPush(e, t, fn)
-		return
-	}
-	e.q.push(event{at: t, tie: e.par.nextTie(e), rank: e.curRank, fn: fn})
-}
+// past is a protocol bug and panics.
+func (e *Engine) At(t VTime, fn func()) { e.AtRank(-1, t, fn) }
 
 // After schedules fn to run d after the current simulated time.
 func (e *Engine) After(d VTime, fn func()) {
@@ -259,24 +184,14 @@ func (e *Engine) After(d VTime, fn func()) {
 	e.At(e.now+d, fn)
 }
 
-// AtRank schedules fn at absolute time t attributed to rank. On a
-// classic engine this is At. On a sharded engine it is the only legal
-// way to schedule across ranks: a cross-rank event must land at or
-// beyond the current window's end (the conservative-lookahead
-// guarantee), and events bound for another shard travel through a
-// lock-free inbox merged at the next barrier.
+// AtRank is At with the event attributed to rank, so backlog taps
+// (PendingByRank) can count it.
 func (e *Engine) AtRank(rank int, t VTime, fn func()) {
-	if e.par == nil {
-		if t < e.now {
-			panic(fmt.Sprintf("netsim: scheduling at %v before now %v", t, e.now))
-		}
-		// Same scheduling semantics as At, but the event carries its rank
-		// so backlog taps (PendingByRank) can attribute it.
-		e.seq++
-		e.q.push(event{at: t, tie: e.seq, rank: int32(rank), fn: fn})
-		return
+	if t < e.now {
+		panic(fmt.Sprintf("netsim: scheduling at %v before now %v", t, e.now))
 	}
-	e.par.atRank(e, rank, t, fn)
+	e.seq++
+	e.q.push(event{at: t, tie: e.seq, rank: int32(rank), fn: fn})
 }
 
 // AfterRank schedules fn d after now, attributed to rank (see AtRank).
@@ -287,56 +202,28 @@ func (e *Engine) AfterRank(rank int, d VTime, fn func()) {
 	e.AtRank(rank, e.now+d, fn)
 }
 
-// AtBarrier defers fn to the next merge barrier, where it runs serially
-// and may touch any rank's state (membership transitions, epoch bumps,
-// recovery). On a classic engine there is no barrier and no concurrency,
-// so fn runs immediately.
-func (e *Engine) AtBarrier(fn func()) {
-	if e.par == nil {
-		fn()
-		return
-	}
-	e.par.atBarrier(e, fn)
-}
-
 // Step executes the next event, returning false when the queue is empty.
-// On a sharded driver façade it advances one whole window instead.
 func (e *Engine) Step() bool {
-	if e.par != nil && e.shard < 0 {
-		return e.par.advance()
-	}
 	if len(e.q) == 0 {
 		return false
 	}
 	ev := e.q.pop()
 	e.now = ev.at
-	e.curRank = ev.rank
 	e.processed++
 	ev.fn()
-	e.curRank = -1
 	return true
 }
 
 // Run executes events until the queue drains.
 func (e *Engine) Run() {
-	if e.par != nil && e.shard < 0 {
-		e.par.run()
-		return
-	}
 	for e.Step() {
 	}
 }
 
-// RunUntil executes events until done reports true or the queue drains.
-// It returns whether done was satisfied. On a classic engine the
-// predicate is evaluated after every event; on a sharded driver façade
-// it is evaluated at merge barriers (the only points where the
-// predicate's view of the world is well-defined), so completion is
-// quantized to the lookahead window.
+// RunUntil executes events until done reports true or the queue drains,
+// evaluating done after every event. It returns whether done was
+// satisfied.
 func (e *Engine) RunUntil(done func() bool) bool {
-	if e.par != nil && e.shard < 0 {
-		return e.par.runUntil(done)
-	}
 	if done() {
 		return true
 	}
@@ -351,12 +238,8 @@ func (e *Engine) RunUntil(done func() bool) bool {
 // RunUntilStride is RunUntil checking done only every stride events, for
 // hot drain loops where a closure call per event is measurable (large
 // worlds push tens of millions of events per run). A stride below 1 is
-// treated as 1; on a sharded driver façade the stride is ignored, since
-// the predicate already runs only at barriers.
+// treated as 1.
 func (e *Engine) RunUntilStride(done func() bool, stride int) bool {
-	if e.par != nil && e.shard < 0 {
-		return e.par.runUntil(done)
-	}
 	if stride < 1 {
 		stride = 1
 	}
@@ -378,10 +261,6 @@ func (e *Engine) RunUntilStride(done func() bool, stride int) bool {
 // RunFor executes events with timestamps up to and including deadline.
 func (e *Engine) RunFor(d VTime) {
 	deadline := e.now + d
-	if e.par != nil && e.shard < 0 {
-		e.par.runFor(deadline)
-		return
-	}
 	for len(e.q) > 0 && e.q[0].at <= deadline {
 		e.Step()
 	}

@@ -26,9 +26,17 @@ func TestEngineFIFOAtEqualTimes(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
+		// AtRank shares At's sequence: attribution never reorders ties.
+		if i%3 == 0 {
+			e.AtRank(i%4, 5, func() { got = append(got, i) })
+			continue
+		}
 		e.At(5, func() { got = append(got, i) })
 	}
 	e.Run()
+	if len(got) != 10 {
+		t.Fatalf("ran %d of 10 equal-time events", len(got))
+	}
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("equal-time events ran out of order: %v", got)
@@ -81,8 +89,8 @@ func TestEngineRunUntil(t *testing.T) {
 	if !ok || n != 4 {
 		t.Fatalf("RunUntil stopped at n=%d ok=%v", n, ok)
 	}
-	if e.Pending() != 6 {
-		t.Fatalf("Pending = %d", e.Pending())
+	if e.Pending() != 6 || e.Processed() != 4 {
+		t.Fatalf("Pending = %d, Processed = %d; want 6, 4", e.Pending(), e.Processed())
 	}
 	if ok := e.RunUntil(func() bool { return n >= 100 }); ok {
 		t.Fatal("RunUntil claimed success on unreachable predicate")
@@ -190,30 +198,73 @@ func TestPendingByRank(t *testing.T) {
 	}
 }
 
-// TestPendingByRankSharded covers the sharded scan: events spread over
-// shard heaps (and staged barrier tasks) attribute the same way, read
-// from driver context between windows.
-func TestPendingByRankSharded(t *testing.T) {
-	const ranks = 4
-	la := 900 * Nanosecond
-	drv := NewParEngine(ranks, 2, la)
-	counts := make([]int, ranks)
-	for r := 0; r < ranks; r++ {
-		for i := 0; i <= r; i++ {
-			drv.AtRank(r, VTime(1000+100*i), func() {})
-		}
+// TestEventQueueShrinksOnDrain pins the pop-side shrink: a drained burst
+// must not pin its high-water backing array. Push well past minQueueCap,
+// drain below a quarter of capacity, and assert the backing array was
+// reallocated smaller.
+func TestEventQueueShrinksOnDrain(t *testing.T) {
+	var q eventQueue
+	const burst = 1024
+	for i := 0; i < burst; i++ {
+		q.push(event{at: VTime(i), tie: uint64(i)})
 	}
-	drv.PendingByRank(counts)
-	for r := 0; r < ranks; r++ {
-		if counts[r] != r+1 {
-			t.Fatalf("sharded backlog %v, want [1 2 3 4]", counts)
-		}
+	peak := cap(q)
+	if peak < burst {
+		t.Fatalf("cap %d after %d pushes", peak, burst)
 	}
-	drv.Run()
-	drv.PendingByRank(counts)
-	for r, c := range counts {
-		if c != 0 {
-			t.Fatalf("rank %d shows %d pending after drain", r, c)
+	// Drain until live size is far below the peak. The shrink halves
+	// capacity each time len falls under cap/4, so after the drain the
+	// capacity must be strictly below the high-water mark.
+	for len(q) > burst/16 {
+		q.pop()
+	}
+	if cap(q) >= peak {
+		t.Fatalf("queue did not shrink: cap %d (peak %d, len %d)", cap(q), peak, len(q))
+	}
+	// The floor holds: draining to empty never reallocates below
+	// minQueueCap.
+	for len(q) > 0 {
+		q.pop()
+	}
+	if cap(q) > 0 && cap(q) < minQueueCap/2 {
+		t.Fatalf("shrank below floor: cap %d", cap(q))
+	}
+	// Heap order survived the reallocations: refill and pop in order.
+	for i := burst; i > 0; i-- {
+		q.push(event{at: VTime(i), tie: uint64(i)})
+	}
+	prev := VTime(-1)
+	for len(q) > 0 {
+		ev := q.pop()
+		if ev.at < prev {
+			t.Fatalf("heap order broken after shrink: %d after %d", ev.at, prev)
 		}
+		prev = ev.at
+	}
+}
+
+// TestRunUntilStride checks the stride-checked drain: the predicate is
+// consulted only every stride events, so the engine may overshoot by at
+// most stride-1 events, and never stalls short of the goal.
+func TestRunUntilStride(t *testing.T) {
+	e := NewEngine()
+	ran := 0
+	for i := 0; i < 1000; i++ {
+		e.At(VTime(i), func() { ran++ })
+	}
+	const goal, stride = 500, 64
+	if ok := e.RunUntilStride(func() bool { return ran >= goal }, stride); !ok {
+		t.Fatal("RunUntilStride reported queue exhaustion before the goal")
+	}
+	if ran < goal || ran >= goal+stride {
+		t.Fatalf("ran %d events; want within [%d, %d)", ran, goal, goal+stride)
+	}
+	// Exhaustion path: predicate never satisfied drains the queue and
+	// reports false.
+	if ok := e.RunUntilStride(func() bool { return false }, stride); ok {
+		t.Fatal("RunUntilStride reported success on an unsatisfiable predicate")
+	}
+	if ran != 1000 {
+		t.Fatalf("exhaustion drain ran %d of 1000", ran)
 	}
 }

@@ -89,13 +89,6 @@ func NewFabric(eng *Engine, cfg FabricConfig) *Fabric {
 		Faults: NewFaultInjector(cfg.Faults),
 	}
 	for r := range f.NICs {
-		fi := f.Faults
-		if eng.Sharded() {
-			// Each NIC draws from its own seeded stream so its fault
-			// schedule depends only on its own (shard-count-invariant)
-			// transmit order, not the global interleaving of all NICs.
-			fi = f.Faults.Fork(r)
-		}
 		f.NICs[r] = &NIC{
 			Rank:       r,
 			GVARouting: cfg.GVARouting,
@@ -104,29 +97,13 @@ func NewFabric(eng *Engine, cfg FabricConfig) *Fabric {
 			routes:     make(map[gas.BlockID]int),
 			readRoutes: make(map[gas.BlockID]int),
 			fab:        f,
-			eng:        eng.RankEngine(r),
-			fi:         fi,
 		}
 	}
 	return f
 }
 
-// FaultSnapshot sums injected-fault counters fabric-wide: the shared
-// injector's on a classic engine, the per-NIC forks' under sharding.
-func (f *Fabric) FaultSnapshot() FaultStats {
-	if f.Faults == nil {
-		return FaultStats{}
-	}
-	if !f.Eng.Sharded() {
-		return f.Faults.Snapshot()
-	}
-	var t FaultStats
-	for _, n := range f.NICs {
-		s := n.fi.Snapshot()
-		t.add(s)
-	}
-	return t
-}
+// FaultSnapshot returns the fabric's injected-fault counters.
+func (f *Fabric) FaultSnapshot() FaultStats { return f.Faults.Snapshot() }
 
 // NIC returns the interface of the given rank.
 func (f *Fabric) NIC(rank int) *NIC { return f.NICs[rank] }

@@ -252,38 +252,6 @@ func (fi *FaultInjector) MaybeLoseEntry(t *TransTable) bool {
 	return hit
 }
 
-// Fork derives an independent injector for one rank's NIC: same plan, a
-// stream seeded from the base seed and the rank. The sharded engine
-// gives every NIC its own fork so each NIC's fault schedule depends only
-// on its own transmit sequence — which is shard-count-invariant — rather
-// than on the global interleaving of all NICs' draws, which is not.
-// Targeted DropNthCtl counting becomes per-NIC under forks (the Nth
-// control message *through that NIC*), which chaos plans that pin a
-// specific victim already satisfy by addressing a single source rank.
-func (fi *FaultInjector) Fork(rank int) *FaultInjector {
-	if fi == nil {
-		return nil
-	}
-	fi.mu.Lock()
-	p := fi.plan
-	fi.mu.Unlock()
-	p.Seed += int64(rank+1) * int64(0x9E3779B97F4A7C15&0x7FFFFFFFFFFFFFFF)
-	return &FaultInjector{
-		plan:    p,
-		rng:     rand.New(rand.NewSource(p.Seed)),
-		ctlSeen: make(map[uint8]int),
-	}
-}
-
-// add accumulates other into s, for summing per-NIC fork counters.
-func (s *FaultStats) add(o FaultStats) {
-	s.Dropped += o.Dropped
-	s.Duplicated += o.Duplicated
-	s.Delayed += o.Delayed
-	s.TargetedDrops += o.TargetedDrops
-	s.TableEntriesLost += o.TableEntriesLost
-}
-
 // Snapshot returns the counters accumulated so far.
 func (fi *FaultInjector) Snapshot() FaultStats {
 	if fi == nil {

@@ -125,24 +125,14 @@ type NIC struct {
 	// owner) at zero simulated cost — a tracing hook, not a participant.
 	OnForward func(m *Message, owner int)
 
-	fab *Fabric
-	// eng is the engine face that schedules this rank's events: the
-	// fabric engine itself in classic mode, the rank's shard engine under
-	// sharding. All NIC state (txFree/rxFree/Table/routes/Stats) is
-	// touched only from this rank's event context, which is what makes
-	// window-parallel execution race-free.
-	eng *Engine
-	// fi is this NIC's fault stream: the fabric-shared injector in
-	// classic mode, a per-rank fork under sharding.
-	fi     *FaultInjector
+	fab    *Fabric
 	txFree VTime
 	rxFree VTime
 	Stats  NICStats
 }
 
-// Engine returns the engine face this NIC schedules on (its rank's shard
-// engine under sharding).
-func (n *NIC) Engine() *Engine { return n.eng }
+// Engine returns the engine this NIC schedules on.
+func (n *NIC) Engine() *Engine { return n.fab.Eng }
 
 // InstallRoute records authoritative owner knowledge (home mirror entry or
 // forwarding tombstone) at NIC table-update cost. The runtime calls this
@@ -270,7 +260,7 @@ func (n *NIC) transmit(m *Message, extra VTime) {
 			}
 		}
 	}
-	eng, model := n.eng, n.fab.Model
+	eng, model := n.fab.Eng, n.fab.Model
 	wire := m.Wire
 	if wire == 0 {
 		wire = wireHeader
@@ -290,7 +280,7 @@ func (n *NIC) transmit(m *Message, extra VTime) {
 	n.Stats.Sent++
 	n.Stats.BytesTx += uint64(wire)
 	arrive := n.txFree + model.Latency*VTime(hops)
-	if fi := n.fi; fi != nil {
+	if fi := n.fab.Faults; fi != nil {
 		act := fi.Decide(m)
 		if act.Drop {
 			n.Stats.Dropped++
@@ -315,24 +305,21 @@ func (n *NIC) transmit(m *Message, extra VTime) {
 // link drains at link rate, so concurrent senders to one NIC (incast)
 // queue behind each other.
 func (n *NIC) scheduleArrival(m *Message, wire int, bw float64, arrive VTime) {
-	model := n.fab.Model
+	eng, model := n.fab.Eng, n.fab.Model
 	dst := n.fab.NICs[m.Dst]
-	// The arrival is the destination rank's event: it runs on dst's shard
-	// and touches only dst's state. Under sharding a cross-shard arrival
-	// rides the inbox and cannot land inside the current window — the
-	// wire latency already paid above is exactly the lookahead bound.
-	n.eng.AtRank(m.Dst, arrive, func() {
-		deng := dst.eng
-		ready := deng.Now()
+	// The arrival is the destination rank's event: it touches only dst's
+	// state and counts toward dst's backlog in PendingByRank.
+	eng.AtRank(m.Dst, arrive, func() {
+		ready := eng.Now()
 		if dst.rxFree > ready {
 			ready = dst.rxFree
 		}
 		dst.rxFree = ready + VTime(float64(wire)*model.GByte*bw)
-		if ready == deng.Now() {
+		if ready == eng.Now() {
 			dst.receive(m)
 			return
 		}
-		deng.At(ready, func() { dst.receive(m) })
+		eng.At(ready, func() { dst.receive(m) })
 	})
 }
 
@@ -361,7 +348,7 @@ func (n *NIC) receive(m *Message) {
 		// to a dead or re-homed locality.
 		n.Stats.TableUpdatesRx++
 		ep := m.Epoch
-		n.eng.After(model.NICUpdate, func() {
+		n.fab.Eng.After(model.NICUpdate, func() {
 			if ep < n.Table.Epoch() {
 				n.Stats.StaleEpochDrops++
 				return
@@ -376,7 +363,7 @@ func (n *NIC) receive(m *Message) {
 		// block. Epoch-fenced like CtlTableUpdate.
 		n.Stats.TableUpdatesRx++
 		ep := m.Epoch
-		n.eng.After(model.NICUpdate, func() {
+		n.fab.Eng.After(model.NICUpdate, func() {
 			if ep < n.Table.Epoch() {
 				n.Stats.StaleEpochDrops++
 				return
@@ -390,7 +377,7 @@ func (n *NIC) receive(m *Message) {
 		return
 	}
 
-	if fi := n.fi; fi != nil && n.GVARouting {
+	if fi := n.fab.Faults; fi != nil && n.GVARouting {
 		// Soft-error model: receiving traffic may scribble over one
 		// translation-table entry. Only the LRU cache is vulnerable;
 		// authoritative routes are assumed protected (ECC directory).
@@ -638,7 +625,7 @@ func (n *NIC) deliver(m *Message) {
 	if m.DMA {
 		n.Stats.DMADelivered++
 		copyCost := n.fab.Model.CopyTime(m.Wire)
-		n.eng.After(copyCost, func() {
+		n.fab.Eng.After(copyCost, func() {
 			if n.DMADeliver == nil {
 				panic(fmt.Sprintf("netsim: DMA delivery on rank %d without a DMA handler", n.Rank))
 			}

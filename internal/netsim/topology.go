@@ -183,23 +183,6 @@ func (t Dragonfly) Name() string {
 	return fmt.Sprintf("dragonfly(group=%d,global=%.1fx)", t.GroupSize, t.GlobalOversub)
 }
 
-// MinHops returns the topology's minimum cross-rank hop count, used to
-// derive the conservative-lookahead window (Model.Latency × MinHops is a
-// lower bound on any cross-rank delivery delay). All built-in topologies
-// bottom out at one hop; a custom topology can raise the bound by
-// implementing interface{ MinHops() int }.
-func MinHops(t Topology) int {
-	if t == nil {
-		return 1
-	}
-	if mh, ok := t.(interface{ MinHops() int }); ok {
-		if h := mh.MinHops(); h >= 1 {
-			return h
-		}
-	}
-	return 1
-}
-
 // ParseTopology parses a compact topology spec for benchmarks and CLIs:
 //
 //	crossbar

@@ -122,28 +122,6 @@ func TestDragonflyLevels(t *testing.T) {
 	}
 }
 
-func TestMinHopsDefaults(t *testing.T) {
-	if MinHops(nil) != 1 {
-		t.Fatal("MinHops(nil) != 1")
-	}
-	for name, top := range topologiesUnderTest() {
-		if MinHops(top) != 1 {
-			t.Fatalf("%s: MinHops != 1", name)
-		}
-	}
-}
-
-// customMinHops exercises the optional interface escape hatch.
-type customMinHops struct{ Crossbar }
-
-func (customMinHops) MinHops() int { return 3 }
-
-func TestMinHopsCustomInterface(t *testing.T) {
-	if h := MinHops(customMinHops{}); h != 3 {
-		t.Fatalf("custom MinHops = %d; want 3", h)
-	}
-}
-
 func TestParseTopology(t *testing.T) {
 	cases := []struct {
 		spec string

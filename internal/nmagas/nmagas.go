@@ -57,13 +57,12 @@ type Mirror struct {
 	batches    atomic.Uint64
 
 	// homes[r] accumulates broadcast entries committed at home r until
-	// r's armed flush event fires (scheduled at the current instant on
-	// r's own engine, so it runs after the committing event finishes but
-	// before time advances). One slot per home, touched only from that
-	// home's rank context: commits at different homes never share
-	// mutable state, and flush order is fixed by the per-home event
-	// streams rather than map iteration order — which also makes the
-	// eager policy safe under the sharded engine.
+	// r's armed flush event fires (scheduled at the current instant, so
+	// it runs after the committing event finishes but before time
+	// advances). One slot per home, touched only from that home's rank
+	// context: commits at different homes never share mutable state, and
+	// flush order is fixed by the per-home event streams rather than map
+	// iteration order.
 	homes []mirrorHome
 }
 

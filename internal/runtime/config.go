@@ -115,14 +115,6 @@ type Config struct {
 	// Topology selects the simulated fabric topology (nil = crossbar).
 	// Only meaningful under EngineDES.
 	Topology netsim.Topology
-	// Shards partitions ranks into parallel event shards under EngineDES.
-	// 0 keeps the classic single-threaded engine; N >= 1 runs the
-	// conservative-lookahead windowed engine with N shard workers
-	// (clamped to Ranks). Same seed and workload produce bit-identical
-	// results for every N >= 1 — shards only change wall-clock time.
-	// Shards=1 is the windowed engine run sequentially, the reference the
-	// equivalence suite pins N > 1 against. EngineGo ignores it.
-	Shards int
 	// Coalesce batches small parcels per destination when
 	// Coalesce.MaxParcels > 1 (see CoalesceConfig).
 	Coalesce CoalesceConfig
@@ -198,12 +190,6 @@ func (c Config) normalized() (Config, error) {
 	}
 	if c.GoTimeScale <= 0 {
 		c.GoTimeScale = 10
-	}
-	if c.Shards < 0 {
-		return c, fmt.Errorf("runtime: negative shard count %d", c.Shards)
-	}
-	if c.Shards > c.Ranks {
-		c.Shards = c.Ranks
 	}
 	if c.Faults.Drop < 0 || c.Faults.Drop >= 1 {
 		return c, fmt.Errorf("runtime: fault drop probability %v outside [0,1)", c.Faults.Drop)

@@ -23,10 +23,9 @@ type Executor interface {
 	Offload(fn func())
 }
 
-// desExec models one host core on the discrete-event engine. eng is the
-// rank's engine face (its shard engine under the parallel engine), so
-// host tasks land on the rank's own timeline and the busy horizon is
-// only ever touched from that rank's event context.
+// desExec models one host core on the discrete-event engine. Host tasks
+// are attributed to the rank, so they count toward its backlog in
+// PendingByRank.
 type desExec struct {
 	eng  *netsim.Engine
 	rank int

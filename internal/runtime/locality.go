@@ -121,10 +121,9 @@ type Locality struct {
 
 	store *gas.Store
 	exec  Executor
-	// eng is this rank's DES engine face (the shard engine under the
-	// parallel engine, the world engine otherwise; nil under EngineGo).
-	// Rank-local timers (reliability retransmits, coalescer flushes) are
-	// scheduled here so they live on the rank's own timeline.
+	// eng is the world's DES engine (nil under EngineGo). Rank-local
+	// timers (reliability retransmits, coalescer flushes) are scheduled
+	// here, attributed to this rank.
 	eng *netsim.Engine
 
 	// space is the mode's address-translation strategy (see space.go);

@@ -393,11 +393,7 @@ func (mem *membership) recoverDead(d int) {
 	w := mem.w
 	dl := w.locs[d]
 	mem.pending.Add(1)
-	// Under the sharded engine the whole harvest runs at a barrier
-	// (w.onActor), because it reads the corpse's store and directory and
-	// fans mutations out across surviving ranks — all of which is global
-	// work no single shard may do mid-window.
-	w.onActor(dl, func() {
+	dl.exec.Exec(0, func() {
 		defer mem.donePending()
 
 		// Harvest the corpse: resident master blocks, and the directory
@@ -477,7 +473,7 @@ func (mem *membership) promote(d int, blk *gas.Block, rs agas.ReplicaSet) {
 	data := append([]byte(nil), blk.Data...)
 	hl := w.locs[nm]
 	mem.pending.Add(1)
-	w.onActor(hl, func() {
+	hl.exec.Exec(0, func() {
 		defer mem.donePending()
 		if old, ok := hl.store.Get(b); ok && old.Replica {
 			hl.store.Remove(b)
@@ -499,7 +495,7 @@ func (mem *membership) promote(d int, blk *gas.Block, rs agas.ReplicaSet) {
 			// The home is alive: flip its directory authoritatively,
 			// exactly as a migration commit would.
 			mem.pending.Add(1)
-			w.onActor(w.locs[home], func() {
+			w.locs[home].exec.Exec(0, func() {
 				defer mem.donePending()
 				w.locs[home].space.CommitMigrate(b, nm)
 			})
@@ -728,10 +724,7 @@ func (w *World) Join(rank int) error {
 	mem.armed.Store(true)
 	l := w.locs[rank]
 	mem.pending.Add(1)
-	// Rebirth wipes cross-cutting state (world receive streams, NIC
-	// tables, the recovery overlay), so under sharding it runs at a
-	// barrier like the rest of the membership transitions.
-	w.onActor(l, func() {
+	l.exec.Exec(0, func() {
 		defer mem.donePending()
 		mem.rebirth(l)
 	})

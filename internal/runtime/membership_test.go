@@ -448,14 +448,87 @@ func TestStopAbortsInFlightMigrations(t *testing.T) {
 			}
 			for i := uint32(0); i < 16; i++ {
 				b := lay.Base.Block() + gas.BlockID(i)
-				copies := 0
+				copies, owner := 0, -1
 				for r := 0; r < 4; r++ {
 					if blk, ok := w.Locality(r).Store().Get(b); ok && !blk.Replica {
 						copies++
+						owner = r
 					}
 				}
 				if copies != 1 {
 					t.Fatalf("block %d resident %d times after Stop", b, copies)
+				}
+				if home := w.Locality(0).space.HomeOwner(b); home != owner {
+					t.Fatalf("block %d resident at rank %d but home directory says %d", b, owner, home)
+				}
+			}
+		})
+	}
+}
+
+// TestStopResolvesStrandedMoves pins both outcomes of a migration that
+// Stop cut off, deterministically: a move whose data already installed
+// at the destination completes there (the old owner drops its copy and
+// the home directory names the destination), and a move whose data
+// never installed is abandoned in place. It also covers a chain — a
+// block that moved on from its first destination before either move
+// finished — which must end at the far end of the chain.
+func TestStopResolvesStrandedMoves(t *testing.T) {
+	for _, mode := range []Mode{AGASSW, AGASNM} {
+		mode := mode
+		t.Run(mode.String(), func(t *testing.T) {
+			w := testWorld(t, Config{Ranks: 4, Mode: mode, Engine: EngineGo})
+			w.Start()
+			lay, err := w.AllocLocal(0, 128, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Stop()
+			installed, lost, chained := lay.BlockAt(0).Block(), lay.BlockAt(1).Block(), lay.BlockAt(2).Block()
+			// strand pins b at from mid-move to dst and, when install is
+			// set, puts the moved copy at dst as migrate.data would.
+			strand := func(b gas.BlockID, from, dst int, install bool) {
+				src, to := w.Locality(from), w.Locality(dst)
+				blk, ok := src.store.Get(b)
+				if !ok {
+					t.Fatalf("block %d not at rank %d", b, from)
+				}
+				src.moving[b] = &moveState{dst: dst}
+				src.space.BeginMigrate(b)
+				if install {
+					cp := &gas.Block{ID: b, Kind: blk.Kind, BSize: blk.BSize, Data: append([]byte(nil), blk.Data...), Home: blk.Home}
+					if err := to.store.Insert(cp); err != nil {
+						t.Fatal(err)
+					}
+					to.space.InstallMigrated(b)
+				}
+			}
+			strand(installed, 0, 1, true)
+			strand(lost, 0, 2, false)
+			strand(chained, 0, 1, true)
+			strand(chained, 1, 3, true)
+			w.resolveStrandedMigrations()
+
+			for _, c := range []struct {
+				b    gas.BlockID
+				want int
+			}{{installed, 1}, {lost, 0}, {chained, 3}} {
+				var at []int
+				for r := 0; r < 4; r++ {
+					if blk, ok := w.Locality(r).Store().Get(c.b); ok && !blk.Replica {
+						at = append(at, r)
+					}
+				}
+				if len(at) != 1 || at[0] != c.want {
+					t.Fatalf("block %d resident at %v; want only rank %d", c.b, at, c.want)
+				}
+				if home := w.Locality(0).space.HomeOwner(c.b); home != c.want {
+					t.Fatalf("block %d: home directory says %d; want %d", c.b, home, c.want)
+				}
+			}
+			for r := 0; r < 4; r++ {
+				if n := len(w.Locality(r).moving); n != 0 {
+					t.Fatalf("rank %d still has %d blocks mid-move", r, n)
 				}
 			}
 		})

@@ -148,9 +148,8 @@ func (ps *pulseState) desArm() {
 	ps.w.eng.At(next, ps.desTick)
 }
 
-// desTick is the metronome event. Under sharding it is a barrier task
-// (World.eng is the driver façade), so clients may legally read and
-// schedule across every rank, exactly like driver code between windows.
+// desTick is the metronome event. It runs as driver work, so clients may
+// read and schedule across every rank.
 func (ps *pulseState) desTick() {
 	ps.fire()
 	if ps.w.eng.Pending() == 0 {
@@ -214,7 +213,7 @@ func (w *World) PulsePeriod() netsim.VTime {
 // OnPulse registers fn as a pulse client invoked on every tick, after
 // watchdog evaluation, in registration order. name labels the client in
 // panics and docs. Clients run in tick context: under EngineDES that is
-// driver/barrier context (safe to read any rank's state and to issue
+// driver context (safe to read any rank's state and to issue
 // non-blocking runtime calls such as SendParcel, Migrate, ReplicateLive);
 // they must not call World.Wait, which re-enters the engine. Under
 // EngineGo clients run on the ticker goroutine, concurrent with actors.

@@ -188,20 +188,6 @@ func TestPulseGoEngine(t *testing.T) {
 	}
 }
 
-// TestPulseSharded: the metronome runs as a barrier task under the
-// parallel engine and the sharded run stays live and healthy.
-func TestPulseSharded(t *testing.T) {
-	w := testWorld(t, Config{Ranks: 4, Mode: AGASNM, Engine: EngineDES, Shards: 2,
-		Pulse: PulseConfig{Enabled: true, Period: 10 * netsim.Microsecond}})
-	pulseWorkload(t, w)
-	if w.PulseCount() == 0 {
-		t.Fatal("pulse never fired under sharding")
-	}
-	if h := w.Health(); !h.Enabled || h.Level != WatchOK {
-		t.Fatalf("sharded world unhealthy: %+v", h)
-	}
-}
-
 // TestWatchdogRetransmitStorm: a seeded drop plan under load must trip
 // the storm watchdog to critical within two pulses of the resend rate
 // first crossing the critical threshold, and health must recover once

@@ -250,8 +250,8 @@ func (l *Locality) relNow() netsim.VTime {
 func (l *Locality) relArm(ch int32, d netsim.VTime) {
 	if l.eng != nil {
 		// The retransmission timer is rank-local work: it reads and
-		// mutates only this locality's send state, so it runs on the
-		// rank's own timeline (its shard under the parallel engine).
+		// mutates only this locality's send state, so it is attributed to
+		// the rank's own timeline.
 		l.eng.AfterRank(l.rank, d, func() { l.relTimer(ch) })
 		return
 	}
@@ -351,9 +351,7 @@ func (l *Locality) relTimer(ch int32) {
 	rw.mu.Unlock()
 
 	if ceiling {
-		// The sweep inspects and arms world-level membership state, which
-		// a shard worker must not touch mid-window.
-		l.w.deferGlobal(l, func() { l.w.mem.suspectSweep(l) })
+		l.w.mem.suspectSweep(l)
 	}
 	for _, m := range resend {
 		l.trace(TraceRetransmit, m.Block, m.RelSeq)

@@ -121,27 +121,7 @@ func NewWorld(cfg Config) (*World, error) {
 
 	switch cfg.Engine {
 	case EngineDES:
-		if cfg.Shards > 0 {
-			// Conservative lookahead: no cross-rank event can land sooner
-			// than the cheapest wire path, one minimum-hop traversal at the
-			// model's link latency. See netsim.ParEngine.
-			la := cfg.Model.Latency * netsim.VTime(netsim.MinHops(cfg.Topology))
-			w.eng = netsim.NewParEngine(cfg.Ranks, cfg.Shards, la)
-			if cfg.reliable() {
-				// The reliable layer's exactly-once store is keyed per
-				// (source, channel) stream, and one stream is legitimately
-				// touched by different receiving ranks inside one window
-				// (host forwards, post-migration re-resolution, cumulative
-				// acks) — state the rank partition cannot isolate. Windows
-				// then run serially in merged global event order, which is
-				// bit-identical to shards=1; fault-free runs, where the
-				// layer is off and nothing crosses the partition, keep the
-				// parallel drain.
-				w.eng.Par().SetSerial(true)
-			}
-		} else {
-			w.eng = netsim.NewEngine()
-		}
+		w.eng = netsim.NewEngine()
 		w.fab = netsim.NewFabric(w.eng, netsim.FabricConfig{
 			Ranks:       cfg.Ranks,
 			Model:       cfg.Model,
@@ -153,7 +133,7 @@ func NewWorld(cfg Config) (*World, error) {
 		})
 		w.net = &desNet{w: w}
 		for r, l := range w.locs {
-			l.eng = w.eng.RankEngine(r)
+			l.eng = w.eng
 			l.exec = &desExec{eng: l.eng, rank: r}
 			nic := w.fab.NIC(r)
 			loc := l
@@ -255,8 +235,8 @@ var StopDrainTimeout = 2 * time.Second
 // bounded by StopDrainTimeout) for in-flight migrations to complete —
 // tearing the actors down around a half-moved block would strand its
 // queued traffic — then drains and stops the actors and pool, and
-// deterministically aborts anything still mid-move so the final state
-// is consistent for post-mortem inspection. Under EngineDES it is a
+// resolves anything still mid-move to exactly one master so the final
+// state is consistent for post-mortem inspection. Under EngineDES it is a
 // no-op beyond marking the world stopped.
 func (w *World) Stop() {
 	if w.stopped {
@@ -266,11 +246,6 @@ func (w *World) Stop() {
 	if w.pulse != nil {
 		w.pulse.stopGo()
 	}
-	if w.eng != nil {
-		if par := w.eng.Par(); par != nil {
-			par.Shutdown()
-		}
-	}
 	if w.cfg.Engine == EngineGo {
 		w.awaitMigrationDrain(StopDrainTimeout)
 		for _, l := range w.locs {
@@ -279,7 +254,7 @@ func (w *World) Stop() {
 		if w.pool != nil {
 			w.pool.Stop()
 		}
-		w.abortStrandedMigrations()
+		w.resolveStrandedMigrations()
 	}
 }
 
@@ -302,24 +277,55 @@ func (w *World) awaitMigrationDrain(timeout time.Duration) {
 	}
 }
 
-// abortStrandedMigrations runs after the actors have stopped: any block
-// still pinned mid-move is unpinned in place (the move is abandoned;
-// the block stays at its old owner) and its queued arrivals are
-// discarded, so the stopped world's image is consistent.
-func (w *World) abortStrandedMigrations() {
+// resolveStrandedMigrations runs after the actors have stopped and
+// resolves every block still pinned mid-move so exactly one master
+// remains and the home directory names it. A move whose data already
+// installed at the destination (the commit or done parcel was cut off
+// by Stop) is completed: the old owner drops its copy. Any other move
+// is abandoned and the block stays at its old owner. Queued arrivals
+// are discarded either way. Every decision reads the stores as Stop
+// left them, so a chain of moves (A→B while B→C) resolves to the far
+// end regardless of iteration order.
+func (w *World) resolveStrandedMigrations() {
+	type stranded struct {
+		l    *Locality
+		b    gas.BlockID
+		dst  int
+		done bool
+	}
+	var moves []stranded
 	for _, l := range w.locs {
 		l.mu.Lock()
-		var stranded []gas.BlockID
-		for b := range l.moving {
-			stranded = append(stranded, b)
+		for b, st := range l.moving {
+			moves = append(moves, stranded{l: l, b: b, dst: st.dst})
 		}
-		for _, b := range stranded {
-			delete(l.moving, b)
-		}
+		l.moving = make(map[gas.BlockID]*moveState)
 		l.mu.Unlock()
-		for _, b := range stranded {
-			l.space.AbortMigrate(b)
-			l.trace(TraceMigrateAbort, b, 0)
+	}
+	for i := range moves {
+		blk, ok := w.locs[moves[i].dst].store.Get(moves[i].b)
+		moves[i].done = ok && !blk.Replica
+	}
+	for _, m := range moves {
+		if !m.done {
+			m.l.space.AbortMigrate(m.b)
+			m.l.trace(TraceMigrateAbort, m.b, 0)
+			continue
+		}
+		m.l.store.Remove(m.b)
+		m.l.space.FinishMigrate(m.b, m.dst)
+		m.l.Stats.Migrations.Inc()
+		m.l.trace(TraceMigrateDone, m.b, uint64(m.dst))
+	}
+	for _, m := range moves {
+		if !m.done {
+			continue
+		}
+		for r, l := range w.locs {
+			if blk, ok := l.store.Get(m.b); ok && !blk.Replica {
+				w.locs[blk.Home].space.CommitMigrate(m.b, r)
+				break
+			}
 		}
 	}
 }
@@ -370,32 +376,6 @@ func (w *World) mustDES(op string) {
 	if w.eng == nil {
 		panic(fmt.Sprintf("runtime: %s requires the DES engine", op))
 	}
-}
-
-// onActor schedules fn as rank-l host work from global (driver or
-// barrier) context. On the classic DES engine it is an ordinary executor
-// task; under sharding it runs as a barrier task instead, because the
-// recovery and membership work routed through here freely reaches across
-// ranks — inside a parallel window that would race. Under EngineGo it is
-// a plain actor task.
-func (w *World) onActor(l *Locality, fn func()) {
-	if w.eng != nil && w.eng.Sharded() {
-		w.eng.After(0, fn)
-		return
-	}
-	l.exec.Exec(0, fn)
-}
-
-// deferGlobal runs fn in a context allowed to touch any rank's state:
-// immediately when called from a serial engine (classic DES, EngineGo's
-// own locking applies), at the next merge barrier under sharding. l is
-// the calling locality.
-func (w *World) deferGlobal(l *Locality, fn func()) {
-	if l.eng != nil {
-		l.eng.AtBarrier(fn)
-		return
-	}
-	fn()
 }
 
 // fail reports a broken protocol invariant. The runtime treats these as
