@@ -41,19 +41,46 @@ func (t VTime) String() string {
 // Micros returns t in microseconds as a float, for table output.
 func (t VTime) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// event is one scheduled closure. tie breaks equal-time events into a
-// strict total order; rank names the locality the event is attributed to
-// (-1 for driver work), which PendingByRank reads to attribute backlog.
-type event struct {
+// MsgHandler is the typed form of a scheduled event: the engine calls
+// HandleMsg(m) with the message it was scheduled with. Per-message DES
+// work (sends, wire arrivals, host deliveries, action bodies) schedules
+// a pointer-shaped handler — a named type over *NIC or *Locality — next
+// to the *Message instead of a capturing closure, so storing the pair
+// allocates nothing.
+type MsgHandler interface {
+	HandleMsg(m *Message)
+}
+
+// funcEvent adapts a plain closure (At/AtRank) to MsgHandler. A func
+// value is pointer-shaped, so the conversion allocates nothing; m is
+// always nil.
+type funcEvent func()
+
+func (f funcEvent) HandleMsg(*Message) { f() }
+
+// evKey is the heap-ordered half of an event. tie breaks equal-time
+// events into a strict total order; rank names the locality the event
+// is attributed to (-1 for driver work), which PendingByRank reads to
+// attribute backlog; slot indexes the event's payload in the slab. It
+// holds no pointers, so sifting it costs no write barriers and the
+// garbage collector never scans the heap array.
+type evKey struct {
 	at   VTime
 	tie  uint64
 	rank int32
-	fn   func()
+	slot uint32
+}
+
+// evPayload is the pointer-carrying half of an event, parked in the
+// slab while its key waits in the heap.
+type evPayload struct {
+	h MsgHandler
+	m *Message
 }
 
 // evLess orders events by (at, tie); tie is unique, so the order is a
 // strict total order and pop sequence is independent of heap shape.
-func evLess(a, b event) bool {
+func evLess(a, b evKey) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -61,49 +88,59 @@ func evLess(a, b event) bool {
 }
 
 // minQueueCap is the floor below which eventQueue never shrinks its
-// backing array: bursts smaller than this are steady-state noise, not
+// backing arrays: bursts smaller than this are steady-state noise, not
 // worth a reallocation to reclaim.
 const minQueueCap = 64
 
-// eventQueue is an index-typed 4-ary min-heap over a flat event slice.
-// Compared to container/heap it pays no interface-boxing allocation per
-// push and half the tree height per sift; popped slots are zeroed and
-// reused in place on the next push, so the backing array doubles as the
-// event free-list and a steady-state engine allocates nothing per event
-// beyond the scheduled closure itself.
-type eventQueue []event
+// eventQueue is an index-typed 4-ary min-heap of pointer-free keys over
+// a payload slab. Compared to container/heap it pays no interface-boxing
+// allocation per push and half the tree height per sift. A popped key's
+// slab slot goes on the free list and is reused by the next push, so
+// len(slab) == len(keys) + len(free) and a steady-state engine
+// allocates nothing per event.
+type eventQueue struct {
+	keys []evKey
+	slab []evPayload
+	free []uint32
+}
 
-func (q *eventQueue) push(ev event) {
-	h := append(*q, ev)
+func (q *eventQueue) len() int { return len(q.keys) }
+
+func (q *eventQueue) push(k evKey, pl evPayload) {
+	if n := len(q.free); n > 0 {
+		k.slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[k.slot] = pl
+	} else {
+		k.slot = uint32(len(q.slab))
+		q.slab = append(q.slab, pl)
+	}
+	h := append(q.keys, k)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !evLess(ev, h[p]) {
+		if !evLess(k, h[p]) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = ev
-	*q = h
+	h[i] = k
+	q.keys = h
 }
 
-func (q *eventQueue) pop() event {
-	h := *q
+// pop removes the earliest event and returns its key and payload. The
+// payload's slot is released (zeroed, so the slab pins nothing) before
+// the caller runs it, so events it schedules reuse the slot.
+func (q *eventQueue) pop() (evKey, evPayload) {
+	h := q.keys
 	root := h[0]
+	pl := q.slab[root.slot]
+	q.slab[root.slot] = evPayload{}
+	q.free = append(q.free, root.slot)
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // release the closure: the slot becomes free-list space
 	h = h[:n]
-	if cap(h) > minQueueCap && n < cap(h)/4 {
-		// A drained burst would otherwise pin its high-water backing array
-		// (and its zeroed closure slots) forever. Halving keeps headroom
-		// for the next burst while bounding the waste at 4× live size.
-		s := make(eventQueue, n, cap(h)/2)
-		copy(s, h)
-		h = s
-	}
-	*q = h
 	if n > 0 {
 		i := 0
 		for {
@@ -129,7 +166,29 @@ func (q *eventQueue) pop() event {
 		}
 		h[i] = last
 	}
-	return root
+	q.keys = h
+	if cap(h) > minQueueCap && n < cap(h)/4 {
+		q.shrink()
+	}
+	return root, pl
+}
+
+// shrink halves the backing arrays after a drained burst, which would
+// otherwise pin its high-water key array, slab and free list forever;
+// the halving keeps headroom for the next burst while bounding the waste
+// at 4x live size. The slab is compacted to the live payloads (keys are
+// renumbered in place; slot takes no part in ordering) and the free list
+// starts empty.
+func (q *eventQueue) shrink() {
+	c := cap(q.keys) / 2
+	keys := make([]evKey, len(q.keys), c)
+	slab := make([]evPayload, len(q.keys), c)
+	for i, k := range q.keys {
+		slab[i] = q.slab[k.slot]
+		k.slot = uint32(i)
+		keys[i] = k
+	}
+	q.keys, q.slab, q.free = keys, slab, nil
 }
 
 // Engine is a discrete-event simulator: all simulated work — NIC
@@ -154,7 +213,7 @@ func (e *Engine) Now() VTime { return e.now }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of scheduled-but-unexecuted events.
-func (e *Engine) Pending() int { return len(e.q) }
+func (e *Engine) Pending() int { return e.q.len() }
 
 // PendingByRank counts scheduled-but-unexecuted events attributed to
 // each rank into counts (one slot per rank); driver work (rank -1) is
@@ -165,8 +224,8 @@ func (e *Engine) PendingByRank(counts []int) {
 	for i := range counts {
 		counts[i] = 0
 	}
-	for i := range e.q {
-		if r := int(e.q[i].rank); r >= 0 && r < len(counts) {
+	for i := range e.q.keys {
+		if r := int(e.q.keys[i].rank); r >= 0 && r < len(counts) {
 			counts[r]++
 		}
 	}
@@ -187,11 +246,19 @@ func (e *Engine) After(d VTime, fn func()) {
 // AtRank is At with the event attributed to rank, so backlog taps
 // (PendingByRank) can count it.
 func (e *Engine) AtRank(rank int, t VTime, fn func()) {
+	e.AtMsg(rank, t, funcEvent(fn), nil)
+}
+
+// AtMsg schedules h.HandleMsg(m) at absolute simulated time t,
+// attributed to rank (-1 for driver work). It is the allocation-free
+// form of AtRank for per-message work and shares its sequence, so typed
+// and closure events interleave in one strict (at, tie) order.
+func (e *Engine) AtMsg(rank int, t VTime, h MsgHandler, m *Message) {
 	if t < e.now {
 		panic(fmt.Sprintf("netsim: scheduling at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.q.push(event{at: t, tie: e.seq, rank: int32(rank), fn: fn})
+	e.q.push(evKey{at: t, tie: e.seq, rank: int32(rank)}, evPayload{h: h, m: m})
 }
 
 // AfterRank schedules fn d after now, attributed to rank (see AtRank).
@@ -204,13 +271,13 @@ func (e *Engine) AfterRank(rank int, d VTime, fn func()) {
 
 // Step executes the next event, returning false when the queue is empty.
 func (e *Engine) Step() bool {
-	if len(e.q) == 0 {
+	if e.q.len() == 0 {
 		return false
 	}
-	ev := e.q.pop()
-	e.now = ev.at
+	k, p := e.q.pop()
+	e.now = k.at
 	e.processed++
-	ev.fn()
+	p.h.HandleMsg(p.m)
 	return true
 }
 
@@ -261,7 +328,7 @@ func (e *Engine) RunUntilStride(done func() bool, stride int) bool {
 // RunFor executes events with timestamps up to and including deadline.
 func (e *Engine) RunFor(d VTime) {
 	deadline := e.now + d
-	for len(e.q) > 0 && e.q[0].at <= deadline {
+	for e.q.len() > 0 && e.q.keys[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {

@@ -21,25 +21,35 @@ func TestEngineOrdering(t *testing.T) {
 	}
 }
 
+// recorder is a typed event handler that logs the OpID of every message
+// it handles.
+type recorder struct{ got []int }
+
+func (r *recorder) HandleMsg(m *Message) { r.got = append(r.got, int(m.OpID)) }
+
 func TestEngineFIFOAtEqualTimes(t *testing.T) {
 	e := NewEngine()
-	var got []int
-	for i := 0; i < 10; i++ {
+	rec := &recorder{}
+	for i := 0; i < 12; i++ {
 		i := i
-		// AtRank shares At's sequence: attribution never reorders ties.
-		if i%3 == 0 {
-			e.AtRank(i%4, 5, func() { got = append(got, i) })
-			continue
+		// AtRank and AtMsg share At's sequence: attribution and the typed
+		// form never reorder ties.
+		switch i % 3 {
+		case 0:
+			e.AtRank(i%4, 5, func() { rec.got = append(rec.got, i) })
+		case 1:
+			e.AtMsg(i%4, 5, rec, &Message{OpID: uint64(i)})
+		default:
+			e.At(5, func() { rec.got = append(rec.got, i) })
 		}
-		e.At(5, func() { got = append(got, i) })
 	}
 	e.Run()
-	if len(got) != 10 {
-		t.Fatalf("ran %d of 10 equal-time events", len(got))
+	if len(rec.got) != 12 {
+		t.Fatalf("ran %d of 12 equal-time events", len(rec.got))
 	}
-	for i, v := range got {
+	for i, v := range rec.got {
 		if v != i {
-			t.Fatalf("equal-time events ran out of order: %v", got)
+			t.Fatalf("equal-time events ran out of order: %v", rec.got)
 		}
 	}
 }
@@ -121,16 +131,32 @@ func TestEngineRunFor(t *testing.T) {
 }
 
 func TestEngineDeterministicUnderRandomInsertion(t *testing.T) {
+	// Typed and closure events share one (at, tie) order: replaying the
+	// schedule must pop them in exactly the sorted (time, insertion)
+	// order, whichever form each event took.
 	run := func(seed int64) []int {
 		e := NewEngine()
 		rng := rand.New(rand.NewSource(seed))
-		var got []int
+		rec := &recorder{}
+		type sched struct{ at, i int }
+		var want []sched
 		for i := 0; i < 200; i++ {
-			i := i
-			e.At(VTime(rng.Intn(50)), func() { got = append(got, i) })
+			i, at := i, rng.Intn(50)
+			want = append(want, sched{at, i})
+			if rng.Intn(2) == 0 {
+				e.AtMsg(rng.Intn(4), VTime(at), rec, &Message{OpID: uint64(i)})
+			} else {
+				e.At(VTime(at), func() { rec.got = append(rec.got, i) })
+			}
 		}
 		e.Run()
-		return got
+		sort.SliceStable(want, func(a, b int) bool { return want[a].at < want[b].at })
+		for k, w := range want {
+			if rec.got[k] != w.i {
+				t.Fatalf("seed %d: event %d ran at position %d, want event %d", seed, rec.got[k], k, w.i)
+			}
+		}
+		return rec.got
 	}
 	a, b := run(42), run(42)
 	for i := range a {
@@ -148,6 +174,34 @@ func TestEngineDeterministicUnderRandomInsertion(t *testing.T) {
 	e.Run()
 	if !sort.SliceIsSorted(times, func(i, j int) bool { return times[i] < times[j] }) {
 		t.Fatal("event times not monotonic")
+	}
+}
+
+// TestTypedEventAllocatesNothing pins the allocation-free DES hop: once
+// the queue has capacity, scheduling and dispatching a typed
+// (handler, *Message) event allocates nothing, and neither does a
+// closure event whose func value already exists (funcEvent adds no
+// boxing).
+func TestTypedEventAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	rec := &recorder{got: make([]int, 0, 1)}
+	m := &Message{}
+	typed := func() {
+		e.AtMsg(1, e.Now()+1, rec, m)
+		e.Step()
+		rec.got = rec.got[:0]
+	}
+	typed() // warm the key heap, slab and free list
+	if n := testing.AllocsPerRun(1000, typed); n != 0 {
+		t.Fatalf("typed event schedule+dispatch allocates %v, want 0", n)
+	}
+	fn := func() {}
+	closure := func() {
+		e.At(e.Now()+1, fn)
+		e.Step()
+	}
+	if n := testing.AllocsPerRun(1000, closure); n != 0 {
+		t.Fatalf("func event schedule+dispatch allocates %v, want 0", n)
 	}
 }
 
@@ -170,16 +224,18 @@ func TestVTimeString(t *testing.T) {
 }
 
 // TestPendingByRank pins the backlog tap the queue-depth watchdog uses:
-// AtRank events are attributed to their rank, driver work (At, rank -1)
-// is not, and executed events leave the counts.
+// AtRank and typed AtMsg events are attributed to their rank, driver
+// work (At, or rank -1) is not, and executed events leave the counts.
 func TestPendingByRank(t *testing.T) {
 	e := NewEngine()
 	counts := make([]int, 3)
+	rec := &recorder{}
 	e.AtRank(0, 10, func() {})
-	e.AtRank(1, 10, func() {})
+	e.AtMsg(1, 10, rec, &Message{})
 	e.AtRank(1, 20, func() {})
-	e.AtRank(2, 30, func() {})
-	e.At(5, func() {}) // driver event: unattributed
+	e.AtMsg(2, 30, rec, &Message{})
+	e.At(5, func() {})               // driver event: unattributed
+	e.AtMsg(-1, 25, rec, &Message{}) // typed driver event: unattributed
 	e.PendingByRank(counts)
 	if counts[0] != 1 || counts[1] != 2 || counts[2] != 1 {
 		t.Fatalf("initial backlog %v, want [1 2 1]", counts)
@@ -196,50 +252,77 @@ func TestPendingByRank(t *testing.T) {
 			t.Fatalf("rank %d still shows %d pending after drain", r, c)
 		}
 	}
+	if len(rec.got) != 3 {
+		t.Fatalf("ran %d of 3 typed events", len(rec.got))
+	}
 }
 
 // TestEventQueueShrinksOnDrain pins the pop-side shrink: a drained burst
-// must not pin its high-water backing array. Push well past minQueueCap,
-// drain below a quarter of capacity, and assert the backing array was
-// reallocated smaller.
+// must not pin its high-water key array, payload slab or free list. Push
+// well past minQueueCap, drain below a quarter of capacity, and assert
+// all three were reallocated smaller.
 func TestEventQueueShrinksOnDrain(t *testing.T) {
 	var q eventQueue
 	const burst = 1024
+	h := funcEvent(func() {})
 	for i := 0; i < burst; i++ {
-		q.push(event{at: VTime(i), tie: uint64(i)})
+		q.push(evKey{at: VTime(i), tie: uint64(i)}, evPayload{h: h})
 	}
-	peak := cap(q)
-	if peak < burst {
-		t.Fatalf("cap %d after %d pushes", peak, burst)
+	peak, slabPeak := cap(q.keys), cap(q.slab)
+	if peak < burst || slabPeak < burst {
+		t.Fatalf("key cap %d, slab cap %d after %d pushes", peak, slabPeak, burst)
 	}
 	// Drain until live size is far below the peak. The shrink halves
-	// capacity each time len falls under cap/4, so after the drain the
-	// capacity must be strictly below the high-water mark.
-	for len(q) > burst/16 {
+	// capacity each time len falls under cap/4, so after the drain every
+	// array must be strictly below the high-water mark.
+	freePeak := 0
+	for q.len() > burst/16 {
 		q.pop()
+		if cap(q.free) > freePeak {
+			freePeak = cap(q.free)
+		}
 	}
-	if cap(q) >= peak {
-		t.Fatalf("queue did not shrink: cap %d (peak %d, len %d)", cap(q), peak, len(q))
+	if cap(q.keys) >= peak {
+		t.Fatalf("keys did not shrink: cap %d (peak %d, len %d)", cap(q.keys), peak, q.len())
+	}
+	if cap(q.slab) >= slabPeak || cap(q.free) >= freePeak {
+		t.Fatalf("slab/free list did not shrink: slab cap %d (peak %d), free cap %d (peak %d)",
+			cap(q.slab), slabPeak, cap(q.free), freePeak)
+	}
+	if len(q.slab) != q.len()+len(q.free) {
+		t.Fatalf("slab len %d != live %d + free %d", len(q.slab), q.len(), len(q.free))
 	}
 	// The floor holds: draining to empty never reallocates below
 	// minQueueCap.
-	for len(q) > 0 {
+	for q.len() > 0 {
 		q.pop()
 	}
-	if cap(q) > 0 && cap(q) < minQueueCap/2 {
-		t.Fatalf("shrank below floor: cap %d", cap(q))
+	if cap(q.keys) > 0 && cap(q.keys) < minQueueCap/2 {
+		t.Fatalf("shrank below floor: cap %d", cap(q.keys))
 	}
-	// Heap order survived the reallocations: refill and pop in order.
+	// Heap order and slot bookkeeping survived the reallocations: refill
+	// with distinct payloads and pop them back in order, each with its
+	// own payload.
+	msgs := make([]Message, burst+1)
 	for i := burst; i > 0; i-- {
-		q.push(event{at: VTime(i), tie: uint64(i)})
+		msgs[i].OpID = uint64(i)
+		q.push(evKey{at: VTime(i), tie: uint64(i)}, evPayload{h: h, m: &msgs[i]})
 	}
 	prev := VTime(-1)
-	for len(q) > 0 {
-		ev := q.pop()
-		if ev.at < prev {
-			t.Fatalf("heap order broken after shrink: %d after %d", ev.at, prev)
+	for q.len() > 0 {
+		k, pl := q.pop()
+		if k.at < prev {
+			t.Fatalf("heap order broken after shrink: %d after %d", k.at, prev)
 		}
-		prev = ev.at
+		if pl.m == nil || pl.m.OpID != uint64(k.at) {
+			t.Fatalf("event at %d popped with the wrong payload %+v", k.at, pl.m)
+		}
+		prev = k.at
+	}
+	for i, pl := range q.slab {
+		if pl.h != nil || pl.m != nil {
+			t.Fatalf("drained slab slot %d still pins %+v", i, pl)
+		}
 	}
 }
 

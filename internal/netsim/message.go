@@ -125,6 +125,12 @@ type Message struct {
 	// grants the responder permission to answer from a pooled buffer
 	// (the requester promises to copy out and release).
 	PayloadPooled bool
+
+	// rxSer is the receive-link serialization time of the wire leg in
+	// flight, set by NIC.transmit and charged by the arrival event, which
+	// carries no per-leg state of its own. A message is on one leg at a
+	// time: fault duplicates and forwards travel as copies.
+	rxSer VTime
 }
 
 // wireHeader approximates the fixed per-message header size the codec and
@@ -132,9 +138,14 @@ type Message struct {
 const wireHeader = 32
 
 // msgPool recycles Message structs on the wall-clock (goroutine) engine's
-// fast path. The DES engine never recycles: its NIC model legitimately
-// retains delivered messages inside deferred table-update events, so
-// pooling there would hand a live message to a new sender.
+// fast path. The DES engine does not recycle yet. Its fabric no longer
+// retains a message past hand-off — an in-flight event holds the
+// *Message only until its handler runs, and deferred table updates copy
+// the fields they install — so what still blocks recycling there is
+// proof, not a known hazard: no DES run is checked with recycling on,
+// and the paths where one message is live twice (a duplicated NACK
+// resends its single original twice) were only reasoned about for the
+// goroutine engine.
 var msgPool = sync.Pool{New: func() any { return new(Message) }}
 
 // NewMessage returns a zeroed Message, reusing a pooled one when

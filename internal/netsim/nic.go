@@ -260,7 +260,7 @@ func (n *NIC) transmit(m *Message, extra VTime) {
 			}
 		}
 	}
-	eng, model := n.fab.Eng, n.fab.Model
+	eng, model := n.fab.Eng, &n.fab.Model
 	wire := m.Wire
 	if wire == 0 {
 		wire = wireHeader
@@ -271,7 +271,8 @@ func (n *NIC) transmit(m *Message, extra VTime) {
 		hops = n.fab.Topo.Hops(n.Rank, m.Dst)
 		bw = n.fab.Topo.BWFactor(n.Rank, m.Dst)
 	}
-	ser := model.Gap + VTime(float64(wire)*model.GByte*bw)
+	m.rxSer = VTime(float64(wire) * model.GByte * bw)
+	ser := model.Gap + m.rxSer
 	start := eng.Now() + extra
 	if n.txFree > start {
 		start = n.txFree
@@ -289,44 +290,57 @@ func (n *NIC) transmit(m *Message, extra VTime) {
 		if act.Duplicate {
 			n.Stats.Duplicated++
 			cp := *m
-			n.scheduleArrival(&cp, wire, bw, arrive+act.DupDelay)
+			n.scheduleArrival(&cp, arrive+act.DupDelay)
 		}
 		if act.Delay > 0 {
 			n.Stats.Delayed++
 			arrive += act.Delay
 		}
 	}
-	n.scheduleArrival(m, wire, bw, arrive)
+	n.scheduleArrival(m, arrive)
 }
 
 // scheduleArrival lands m on the destination NIC at the given time,
 // modeling rx-link occupancy: an isolated arrival delivers immediately
 // (its serialization was already paid at the sender), but the receive
 // link drains at link rate, so concurrent senders to one NIC (incast)
-// queue behind each other.
-func (n *NIC) scheduleArrival(m *Message, wire int, bw float64, arrive VTime) {
-	eng, model := n.fab.Eng, n.fab.Model
-	dst := n.fab.NICs[m.Dst]
+// queue behind each other. transmit has stored the leg's receive
+// serialization time in m.rxSer.
+func (n *NIC) scheduleArrival(m *Message, arrive VTime) {
 	// The arrival is the destination rank's event: it touches only dst's
 	// state and counts toward dst's backlog in PendingByRank.
-	eng.AtRank(m.Dst, arrive, func() {
-		ready := eng.Now()
-		if dst.rxFree > ready {
-			ready = dst.rxFree
-		}
-		dst.rxFree = ready + VTime(float64(wire)*model.GByte*bw)
-		if ready == eng.Now() {
-			dst.receive(m)
-			return
-		}
-		eng.At(ready, func() { dst.receive(m) })
-	})
+	n.fab.Eng.AtMsg(m.Dst, arrive, (*arrivalEvent)(n.fab.NICs[m.Dst]), m)
 }
+
+// arrivalEvent is the wire-arrival event of a destination NIC: it
+// claims the rx link and receives m, or defers the receive (a
+// receiveEvent) until the link drains.
+type arrivalEvent NIC
+
+func (h *arrivalEvent) HandleMsg(m *Message) {
+	n := (*NIC)(h)
+	eng := n.fab.Eng
+	ready := eng.Now()
+	if n.rxFree > ready {
+		ready = n.rxFree
+	}
+	n.rxFree = ready + m.rxSer
+	if ready == eng.Now() {
+		n.receive(m)
+		return
+	}
+	eng.AtMsg(-1, ready, (*receiveEvent)(n), m)
+}
+
+// receiveEvent is an arrival's receive deferred behind rx contention.
+type receiveEvent NIC
+
+func (h *receiveEvent) HandleMsg(m *Message) { (*NIC)(h).receive(m) }
 
 // receive handles wire arrival: control consumption, ownership checks,
 // in-network forwarding or NACKing, and final delivery.
 func (n *NIC) receive(m *Message) {
-	model := n.fab.Model
+	model := &n.fab.Model
 	if lv := n.fab.Live; lv != nil && lv.Down(n.Rank) {
 		// In-flight traffic arriving at a crashed locality hits a dead
 		// link and vanishes.
@@ -346,14 +360,16 @@ func (n *NIC) receive(m *Message) {
 		// membership epoch than the table trusts is dropped: it was in
 		// flight across a membership change and could resurrect a route
 		// to a dead or re-homed locality.
+		// The deferred install captures the fields by value, never m, so
+		// the event retains no message.
 		n.Stats.TableUpdatesRx++
-		ep := m.Epoch
+		ep, b, owner := m.Epoch, m.Block, m.Owner
 		n.fab.Eng.After(model.NICUpdate, func() {
 			if ep < n.Table.Epoch() {
 				n.Stats.StaleEpochDrops++
 				return
 			}
-			n.Table.Update(m.Block, m.Owner)
+			n.Table.Update(b, owner)
 		})
 		return
 	case CtlTableBatch:
@@ -362,13 +378,13 @@ func (n *NIC) receive(m *Message) {
 		// charge: the table write port is the bottleneck once, not per
 		// block. Epoch-fenced like CtlTableUpdate.
 		n.Stats.TableUpdatesRx++
-		ep := m.Epoch
+		ep, entries := m.Epoch, m.Payload
 		n.fab.Eng.After(model.NICUpdate, func() {
 			if ep < n.Table.Epoch() {
 				n.Stats.StaleEpochDrops++
 				return
 			}
-			ForEachTableEntry(m.Payload, n.Table.Update)
+			ForEachTableEntry(entries, n.Table.Update)
 		})
 		return
 	case CtlNack, CtlNackLoop:
@@ -431,7 +447,7 @@ func (n *NIC) receive(m *Message) {
 
 // misroute handles a GVA-routed arrival for a non-resident block.
 func (n *NIC) misroute(m *Message) {
-	model := n.fab.Model
+	model := &n.fab.Model
 	if target, ok := n.readRoutes[m.Block]; ok && m.Read && target != n.Rank {
 		// We cannot serve this read but know a replica holder: forward
 		// the read there in-network instead of chasing the owner.
@@ -624,16 +640,22 @@ func (n *NIC) nack(m *Message, owner int) {
 func (n *NIC) deliver(m *Message) {
 	if m.DMA {
 		n.Stats.DMADelivered++
-		copyCost := n.fab.Model.CopyTime(m.Wire)
-		n.fab.Eng.After(copyCost, func() {
-			if n.DMADeliver == nil {
-				panic(fmt.Sprintf("netsim: DMA delivery on rank %d without a DMA handler", n.Rank))
-			}
-			n.DMADeliver(m)
-		})
+		eng := n.fab.Eng
+		eng.AtMsg(-1, eng.Now()+n.fab.Model.CopyTime(m.Wire), (*dmaEvent)(n), m)
 		return
 	}
 	n.deliverHost(m)
+}
+
+// dmaEvent completes a one-sided transfer after its NIC copy time.
+type dmaEvent NIC
+
+func (h *dmaEvent) HandleMsg(m *Message) {
+	n := (*NIC)(h)
+	if n.DMADeliver == nil {
+		panic(fmt.Sprintf("netsim: DMA delivery on rank %d without a DMA handler", n.Rank))
+	}
+	n.DMADeliver(m)
 }
 
 func (n *NIC) deliverHost(m *Message) {

@@ -54,17 +54,39 @@ func Encode(p *Parcel) []byte {
 	return AppendEncode(make([]byte, 0, p.WireSize()), p)
 }
 
+// check validates an encoding's header: size, magic, version and the
+// payload length against the buffer.
+func check(buf []byte) error {
+	if len(buf) < headerSize {
+		return fmt.Errorf("%w: %d bytes, need at least %d", ErrCodec, len(buf), headerSize)
+	}
+	if buf[0] != codecMagic {
+		return fmt.Errorf("%w: bad magic %#x", ErrCodec, buf[0])
+	}
+	if buf[1] != codecVersion {
+		return fmt.Errorf("%w: unsupported version %d", ErrCodec, buf[1])
+	}
+	if n := binary.LittleEndian.Uint32(buf[42:]); uint64(headerSize)+uint64(n) != uint64(len(buf)) {
+		return fmt.Errorf("%w: payload length %d does not match buffer %d", ErrCodec, n, len(buf))
+	}
+	return nil
+}
+
+// PeekAction returns an encoded parcel's action id without decoding it
+// (and without allocating). It validates the encoding exactly as Decode
+// does, so it fails iff Decode would, with the same error.
+func PeekAction(buf []byte) (ActionID, error) {
+	if err := check(buf); err != nil {
+		return 0, err
+	}
+	return ActionID(binary.LittleEndian.Uint16(buf[2:])), nil
+}
+
 // Decode parses one encoded parcel. The returned parcel's payload aliases
 // buf.
 func Decode(buf []byte) (*Parcel, error) {
-	if len(buf) < headerSize {
-		return nil, fmt.Errorf("%w: %d bytes, need at least %d", ErrCodec, len(buf), headerSize)
-	}
-	if buf[0] != codecMagic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrCodec, buf[0])
-	}
-	if buf[1] != codecVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCodec, buf[1])
+	if err := check(buf); err != nil {
+		return nil, err
 	}
 	p := &Parcel{
 		Action:  ActionID(binary.LittleEndian.Uint16(buf[2:])),
@@ -75,12 +97,8 @@ func Decode(buf []byte) (*Parcel, error) {
 		Seq:     binary.LittleEndian.Uint64(buf[26:]),
 		OpID:    binary.LittleEndian.Uint64(buf[34:]),
 	}
-	n := binary.LittleEndian.Uint32(buf[42:])
-	if uint64(headerSize)+uint64(n) != uint64(len(buf)) {
-		return nil, fmt.Errorf("%w: payload length %d does not match buffer %d", ErrCodec, n, len(buf))
-	}
-	if n > 0 {
-		p.Payload = buf[headerSize : headerSize+n]
+	if len(buf) > headerSize {
+		p.Payload = buf[headerSize:]
 	}
 	return p, nil
 }

@@ -86,6 +86,51 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestPeekAction pins the allocation-free header peek the DES delivery
+// path uses in place of a full decode: it reads the action of a good
+// encoding without allocating, and rejects every malformed buffer Decode
+// rejects, with Decode's error.
+func TestPeekAction(t *testing.T) {
+	good := Encode(&Parcel{Action: 4242, Target: gas.New(1, 2, 3), Payload: []byte{1, 2, 3}})
+	if a, err := PeekAction(good); err != nil || a != 4242 {
+		t.Fatalf("PeekAction(good) = %d, %v; want 4242, nil", a, err)
+	}
+	empty := Encode(&Parcel{Action: 9})
+	if a, err := PeekAction(empty); err != nil || a != 9 {
+		t.Fatalf("PeekAction(no payload) = %d, %v; want 9, nil", a, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = PeekAction(good) }); n != 0 {
+		t.Fatalf("PeekAction allocates %v per call, want 0", n)
+	}
+
+	with := func(i int, v byte) []byte {
+		b := append([]byte(nil), good...)
+		b[i] = v
+		return b
+	}
+	bad := map[string][]byte{
+		"empty":            nil,
+		"truncated":        good[:headerSize-1],
+		"truncated body":   good[:len(good)-1],
+		"bad magic":        with(0, 0x00),
+		"bad version":      with(1, 1),
+		"length too long":  with(42, 200),
+		"length too short": with(42, 2),
+		"trailing byte":    append(append([]byte(nil), good...), 0xFF),
+	}
+	for name, buf := range bad {
+		_, perr := PeekAction(buf)
+		if !errors.Is(perr, ErrCodec) {
+			t.Errorf("%s: PeekAction err = %v, want ErrCodec", name, perr)
+			continue
+		}
+		_, derr := Decode(buf)
+		if derr == nil || derr.Error() != perr.Error() {
+			t.Errorf("%s: PeekAction err %q, Decode err %v; want the same", name, perr, derr)
+		}
+	}
+}
+
 func TestDecodeNeverPanicsOnGarbage(t *testing.T) {
 	f := func(buf []byte) bool {
 		defer func() {

@@ -32,14 +32,54 @@ type desExec struct {
 	busy netsim.VTime
 }
 
-func (e *desExec) Exec(cost netsim.VTime, fn func()) {
+// reserve books cost on the core and returns when the task runs.
+func (e *desExec) reserve(cost netsim.VTime) netsim.VTime {
 	start := e.eng.Now()
 	if e.busy > start {
 		start = e.busy
 	}
-	run := start + cost
-	e.busy = run
-	e.eng.AtRank(e.rank, run, fn)
+	e.busy = start + cost
+	return e.busy
+}
+
+func (e *desExec) Exec(cost netsim.VTime, fn func()) {
+	e.eng.AtRank(e.rank, e.reserve(cost), fn)
+}
+
+// post is Exec for a typed per-message event: h.HandleMsg(m) runs on
+// the core with no capturing closure. goExec has its own typed mailbox
+// lanes (execMsg/execLocal), so this stays off the Executor interface.
+func (e *desExec) post(cost netsim.VTime, h netsim.MsgHandler, m *netsim.Message) {
+	e.eng.AtMsg(e.rank, e.reserve(cost), h, m)
+}
+
+// The per-message DES host events. Each is a pointer-shaped view of a
+// Locality, so handing one to the engine as a netsim.MsgHandler
+// allocates nothing.
+type (
+	// injectEvent hands m to the fabric at the host-busy horizon
+	// (Locality.inject).
+	injectEvent Locality
+	// hostMsgEvent runs the host receive path for a NIC delivery or a
+	// local one (Locality.onHostMsg).
+	hostMsgEvent Locality
+	// userParcelEvent runs a user-action parcel body. The parcel is
+	// decoded and its action looked up here, not at delivery: onHostMsg
+	// only peeks the action id.
+	userParcelEvent Locality
+)
+
+func (h *injectEvent) HandleMsg(m *netsim.Message) {
+	l := (*Locality)(h)
+	l.w.net.send(l.rank, m)
+}
+
+func (h *hostMsgEvent) HandleMsg(m *netsim.Message) { (*Locality)(h).onHostMsg(m) }
+
+func (h *userParcelEvent) HandleMsg(m *netsim.Message) {
+	l := (*Locality)(h)
+	p := l.decodeParcel(m)
+	l.runUserParcel(l.action(p.Action), p, m)
 }
 
 func (e *desExec) Charge(extra netsim.VTime) {

@@ -281,10 +281,10 @@ func (l *Locality) SendParcel(p *parcel.Parcel) {
 }
 
 // recycle returns a consumed message to the pool — goroutine engine
-// only. The DES fabric legitimately retains delivered messages inside
-// deferred table-update events, so recycling there would corrupt live
-// state; on DES consumed messages are left to the garbage collector.
-// Callers must hold sole ownership of m (see netsim.NewMessage).
+// only; on DES consumed messages are left to the garbage collector. The
+// DES fabric no longer retains delivered messages (see netsim's msgPool
+// for what still keeps recycling off there). Callers must hold sole
+// ownership of m (see netsim.NewMessage).
 func (l *Locality) recycle(m *netsim.Message) {
 	if l.w.eng == nil {
 		m.Release()
@@ -367,7 +367,7 @@ func (l *Locality) inject(m *netsim.Message, dst int) {
 		l.w.net.send(l.rank, m)
 		return
 	}
-	l.exec.Exec(0, func() { l.w.net.send(l.rank, m) })
+	l.exec.(*desExec).post(0, (*injectEvent)(l), m)
 }
 
 // nicInject sends from NIC context (DMA completions), enrolling the
@@ -387,7 +387,7 @@ func (l *Locality) deliverLocal(m *netsim.Message) {
 		ex.execLocal(m)
 		return
 	}
-	l.exec.Exec(l.w.cfg.Model.HandlerDispatch, func() { l.onHostMsg(m) })
+	l.exec.(*desExec).post(l.w.cfg.Model.HandlerDispatch, (*hostMsgEvent)(l), m)
 }
 
 // ---------------------------------------------------------------------
@@ -406,11 +406,20 @@ func (l *Locality) onHostMsg(m *netsim.Message) {
 	}
 	switch m.Kind {
 	case kParcel:
-		p, err := parcel.Decode(m.Payload)
-		if err != nil {
-			l.w.fail("rank %d: undecodable parcel: %v", l.rank, err)
+		if ex, ok := l.exec.(*desExec); ok {
+			// A user action runs as its own typed event (the DES Offload),
+			// which decodes the parcel itself; only the action id is read
+			// here. PeekAction rejects exactly what Decode would.
+			a, err := parcel.PeekAction(m.Payload)
+			if err != nil {
+				l.w.fail("rank %d: undecodable parcel: %v", l.rank, err)
+			}
+			if a >= firstUserAction {
+				ex.post(0, (*userParcelEvent)(l), m)
+				return
+			}
 		}
-		l.execParcel(p, m)
+		l.execParcel(l.decodeParcel(m), m)
 	case kPutReq:
 		l.hostPut(m)
 	case kGetReq:
@@ -482,10 +491,7 @@ func (l *Locality) onHostMsg(m *netsim.Message) {
 // an executor queue while a migration starts — and user actions hold an
 // active-count on their block so migration snapshots never race handlers.
 func (l *Locality) execParcel(p *parcel.Parcel, m *netsim.Message) {
-	act, err := l.w.reg.Lookup(p.Action)
-	if err != nil {
-		l.w.fail("rank %d: %v", l.rank, err)
-	}
+	act := l.action(p.Action)
 	if p.Action < firstUserAction {
 		// Control actions never touch user block data; they re-check
 		// state themselves where needed.
@@ -519,6 +525,26 @@ func (l *Locality) execParcel(p *parcel.Parcel, m *netsim.Message) {
 		return
 	}
 	l.exec.Offload(func() { l.runUserParcel(act, p, m) })
+}
+
+// decodeParcel decodes m's parcel, failing the world on a malformed
+// encoding.
+func (l *Locality) decodeParcel(m *netsim.Message) *parcel.Parcel {
+	p, err := parcel.Decode(m.Payload)
+	if err != nil {
+		l.w.fail("rank %d: undecodable parcel: %v", l.rank, err)
+	}
+	return p
+}
+
+// action looks up a registered action, failing the world on an unknown
+// id.
+func (l *Locality) action(id parcel.ActionID) Action {
+	act, err := l.w.reg.Lookup(id)
+	if err != nil {
+		l.w.fail("rank %d: %v", l.rank, err)
+	}
+	return act
 }
 
 // runUserParcel is the user-action half of execParcel: dup suppression,

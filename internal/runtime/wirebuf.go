@@ -16,8 +16,9 @@ import (
 // terminal consumer: the reliability layer keeps pristine copies sharing
 // Payload, and the goroutine fault injector clones messages wholesale,
 // so worlds with either stay on plain heap buffers (payloadPoolable).
-// The DES engine never recycles messages and its fabric retains
-// payloads inside deferred events, so it is excluded too.
+// The DES engine does not recycle messages, and its fabric retains
+// table-batch payloads inside deferred install events, so it is excluded
+// too.
 
 // wireBufCap bounds pooled buffer capacity; larger payloads go to the
 // heap (rare on the fast path, and pooling huge buffers pins memory).

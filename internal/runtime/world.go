@@ -134,13 +134,15 @@ func NewWorld(cfg Config) (*World, error) {
 		w.net = &desNet{w: w}
 		for r, l := range w.locs {
 			l.eng = w.eng
-			l.exec = &desExec{eng: l.eng, rank: r}
+			ex := &desExec{eng: l.eng, rank: r}
+			l.exec = ex
 			nic := w.fab.NIC(r)
 			loc := l
 			nic.Resident = loc.residentForNIC
 			nic.ResidentRead = loc.residentForRead
+			recvCost := cfg.Model.ORecv + cfg.Model.HandlerDispatch
 			nic.HostDeliver = func(m *netsim.Message) {
-				loc.exec.Exec(cfg.Model.ORecv+cfg.Model.HandlerDispatch, func() { loc.onHostMsg(m) })
+				ex.post(recvCost, (*hostMsgEvent)(loc), m)
 			}
 			nic.DMADeliver = loc.onDMA
 			nic.OnForward = func(m *netsim.Message, owner int) {
